@@ -58,6 +58,15 @@ mkdir -p target/ci-bench
 cargo run --release -p sv-bench --bin simbench -- --out target/ci-bench/BENCH_sim.json --check BENCH_sim.json
 echo "ci: simbench within tolerance of committed baseline"
 
+# Compile-time gate: compilebench compiles the Table-2 population under
+# every strategy and must reproduce the exact counters committed in
+# BENCH_compile.json (KL probes, moves, passes and bin-packs, IIs tried,
+# oracle nodes and probe units, fallbacks) bit for bit. Its per-pass
+# times are written and printed, not gated: wall time drifts with the
+# host.
+cargo run --release -p sv-bench --bin compilebench -- --out target/ci-bench/BENCH_compile.json --check BENCH_compile.json
+echo "ci: compilebench counters identical to committed baseline"
+
 # Compilation service gate: replay a fixed loadgen trace through svd
 # twice against one disk cache. The second pass must serve >=90% from
 # the cache and every non-stats response must be byte-identical.

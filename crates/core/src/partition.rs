@@ -13,13 +13,16 @@
 //! operation exactly once — even when a move temporarily increases the cost
 //! — keeping the best configuration seen; passes repeat until one fails to
 //! improve. Candidate moves are costed *incrementally* by releasing and
-//! re-reserving only the affected resources against checkpointed bins; the
+//! re-reserving only the affected resources, then undoing exactly that:
+//! the trial reservations are released and the released ones re-applied,
+//! so a probe allocates nothing and touches only the bins it moves. The
 //! committed move is followed by a fresh bin-packing, exactly as the paper
 //! describes.
 
 use sv_analysis::{vectorizable_ops, DepGraph, VecStatus};
-use sv_ir::{Loop, OpId, OpKind, VectorForm};
-use sv_machine::{AlignmentPolicy, CommModel, MachineConfig, TransferDirection};
+use std::ops::Range;
+use sv_ir::{Loop, OpId, OpKind, RegClass, VectorForm};
+use sv_machine::{AlignmentPolicy, MachineConfig, Reservation, TransferDirection};
 use sv_modsched::Bins;
 
 /// Tuning knobs for the partitioner, mirroring the paper's ablations.
@@ -64,7 +67,7 @@ impl Default for SelectiveConfig {
 }
 
 /// The partitioner's output.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionResult {
     /// `true` = vector partition, per source operation.
     pub partition: Vec<bool>,
@@ -92,7 +95,6 @@ pub struct PartitionResult {
 struct CostModel<'a> {
     l: &'a Loop,
     m: &'a MachineConfig,
-    cfg: &'a SelectiveConfig,
     k: u32,
     /// Register-dataflow consumers of each op (excluding self-loops).
     consumers: Vec<Vec<OpId>>,
@@ -100,16 +102,29 @@ struct CostModel<'a> {
     producers: Vec<Vec<OpId>>,
     /// Cached reservation lists, one probe allocation saved per use:
     /// the scalar opcode's requirements per op…
-    scalar_reqs: Vec<Vec<sv_machine::Reservation>>,
+    scalar_reqs: Vec<Vec<Reservation>>,
     /// …the vector opcode's (with the realignment merge appended when the
     /// op is a misaligned memory reference)…
-    vector_reqs: Vec<Vec<sv_machine::Reservation>>,
-    /// …and the transfer sequences per op value and direction
-    /// (`[scalar→vector, vector→scalar]`).
-    comm_reqs: Vec<[Vec<sv_machine::Reservation>; 2]>,
+    vector_reqs: Vec<Vec<Reservation>>,
+    /// …the transfer sequences of each value type that crosses, per
+    /// direction (`[scalar→vector, vector→scalar]`; empty when transfers
+    /// are free)…
+    transfers: Vec<[Vec<Reservation>; 2]>,
+    /// …which of them each op's value takes (`None` when transfers are
+    /// not accounted or the op defines no value)…
+    transfer_of: Vec<Option<usize>>,
+    /// …and the loop-control overhead every packing starts with.
+    overhead: Vec<Vec<Reservation>>,
     /// Bin-packing order: most-constrained opcodes first, fixed up front
-    /// (partition flips barely move the ordering).
+    /// (partition flips barely move the ordering)…
     pack_order: Vec<usize>,
+    /// …and each op's position in it.
+    pack_pos: Vec<usize>,
+    /// Register file (index into `RegClass::ALL`) of each op's value in
+    /// `[scalar, vector]` form; `None` for ops that define no value.
+    reg_slots: Vec<Option<[usize; 2]>>,
+    /// Register-file sizes, in `RegClass::ALL` order.
+    reg_sizes: [u64; 4],
 }
 
 impl<'a> CostModel<'a> {
@@ -117,7 +132,7 @@ impl<'a> CostModel<'a> {
         l: &'a Loop,
         g: &'a DepGraph,
         m: &'a MachineConfig,
-        cfg: &'a SelectiveConfig,
+        cfg: &SelectiveConfig,
     ) -> CostModel<'a> {
         let n = l.ops.len();
         let mut consumers = vec![Vec::new(); n];
@@ -149,83 +164,129 @@ impl<'a> CostModel<'a> {
                 reqs
             })
             .collect();
-        let comm_reqs: Vec<[Vec<sv_machine::Reservation>; 2]> = l
+        let mut types = Vec::new();
+        let mut transfers = Vec::new();
+        let transfer_of = l
             .ops
             .iter()
             .map(|o| {
-                let seq = |dir| -> Vec<sv_machine::Reservation> {
-                    m.comm
-                        .transfer_opcodes(dir, o.opcode.ty, m.vector_length)
-                        .iter()
-                        .flat_map(|opc| m.requirements(*opc))
-                        .collect()
-                };
-                [
-                    seq(TransferDirection::ScalarToVector),
-                    seq(TransferDirection::VectorToScalar),
-                ]
+                if !cfg.account_communication || !o.defines_value() {
+                    return None;
+                }
+                let ty = o.opcode.ty;
+                let known = types.iter().position(|&t| t == ty);
+                Some(known.unwrap_or_else(|| {
+                    let seq = |dir| -> Vec<Reservation> {
+                        m.comm
+                            .transfer_opcodes(dir, ty, m.vector_length)
+                            .iter()
+                            .flat_map(|opc| m.requirements(*opc))
+                            .collect()
+                    };
+                    types.push(ty);
+                    transfers.push([
+                        seq(TransferDirection::ScalarToVector),
+                        seq(TransferDirection::VectorToScalar),
+                    ]);
+                    types.len() - 1
+                }))
             })
             .collect();
         let mut pack_order: Vec<usize> = (0..n).collect();
-        pack_order.sort_by_key(|&i| (m.alternatives_count_in(&pool, l.ops[i].opcode), i));
+        pack_order.sort_by_cached_key(|&i| (m.alternatives_count_in(&pool, l.ops[i].opcode), i));
+        let mut pack_pos = vec![0; n];
+        for (pos, &i) in pack_order.iter().enumerate() {
+            pack_pos[i] = pos;
+        }
+        let slot = |ty, vector| {
+            let class = RegClass::of(ty, vector);
+            RegClass::ALL.iter().position(|&c| c == class).expect("every class is in ALL")
+        };
+        let reg_slots = l
+            .ops
+            .iter()
+            .map(|o| o.defines_value().then(|| [slot(o.opcode.ty, false), slot(o.opcode.ty, true)]))
+            .collect();
         CostModel {
             l,
             m,
-            cfg,
             k: m.vector_length,
             consumers,
             producers,
             scalar_reqs,
             vector_reqs,
-            comm_reqs,
+            transfers,
+            transfer_of,
+            overhead: m.loop_overhead(),
             pack_order,
+            pack_pos,
+            reg_slots,
+            reg_sizes: RegClass::ALL.map(|c| u64::from(m.regs.size(c))),
         }
     }
 
     /// Reserve the op's own execution resources (lines 38–45 of Figure 2):
     /// `k` scalar issues, or one vector issue plus realignment merges.
-    fn reserve_own(&self, bins: &mut Bins, i: usize, vector: bool) -> sv_modsched::Placement {
-        let mut placement = sv_modsched::Placement::default();
+    fn reserve_own(&self, bins: &mut Bins, i: usize, vector: bool, out: &mut Vec<(usize, u32)>) {
         if vector {
-            merge_into(&mut placement, bins.reserve(&self.vector_reqs[i]));
+            bins.reserve_into(&self.vector_reqs[i], out);
         } else {
             for _ in 0..self.k {
-                merge_into(&mut placement, bins.reserve(&self.scalar_reqs[i]));
+                bins.reserve_into(&self.scalar_reqs[i], out);
             }
         }
-        placement
     }
 
     /// Reserve the transfer instructions for op `i`'s *value* under the
     /// given partition assignment (lines 46–48): nothing when the op's
     /// value stays within its partition, otherwise the through-memory
     /// store/load sequence, charged once regardless of consumer count.
-    fn reserve_comm(&self, bins: &mut Bins, i: usize, part: &[bool]) -> sv_modsched::Placement {
-        let mut placement = sv_modsched::Placement::default();
-        if !self.cfg.account_communication || self.m.comm != CommModel::ThroughMemory {
-            return placement;
-        }
-        let op = &self.l.ops[i];
-        if !op.defines_value() {
-            return placement;
-        }
+    fn reserve_comm(&self, bins: &mut Bins, i: usize, part: &[bool], out: &mut Vec<(usize, u32)>) {
+        let Some(t) = self.transfer_of[i] else { return };
         let produces_vector = part[i];
-        let needs = self.consumers[i]
-            .iter()
-            .any(|c| part[c.index()] != produces_vector);
-        if !needs {
-            return placement;
+        if self.consumers[i].iter().any(|c| part[c.index()] != produces_vector) {
+            bins.reserve_into(&self.transfers[t][usize::from(produces_vector)], out);
         }
-        let reqs = &self.comm_reqs[i][if produces_vector { 1 } else { 0 }];
-        for r in reqs {
-            merge_into(&mut placement, bins.reserve(std::slice::from_ref(r)));
-        }
-        placement
     }
-}
 
-fn merge_into(into: &mut sv_modsched::Placement, from: sv_modsched::Placement) {
-    into.extend(from);
+    /// Values op `i` holds in its register file: `k` (one per lane) as a
+    /// scalar op, one as a vector op.
+    fn values_held(&self, vector: bool) -> u64 {
+        if vector {
+            1
+        } else {
+            u64::from(self.k)
+        }
+    }
+
+    /// Per-register-file value counts of a configuration, in
+    /// `RegClass::ALL` order.
+    fn pressure_counts(&self, part: &[bool]) -> [u64; 4] {
+        let mut counts = [0; 4];
+        for (slots, &vector) in self.reg_slots.iter().zip(part) {
+            if let Some(slots) = slots {
+                counts[slots[usize::from(vector)]] += self.values_held(vector);
+            }
+        }
+        counts
+    }
+
+    /// Move op `i`'s values out of the file of its current form
+    /// (`vector`) and into the other form's.
+    fn flip_pressure(&self, counts: &mut [u64; 4], i: usize, vector: bool) {
+        if let Some(slots) = self.reg_slots[i] {
+            counts[slots[usize::from(vector)]] -= self.values_held(vector);
+            counts[slots[usize::from(!vector)]] += self.values_held(!vector);
+        }
+    }
+
+    /// Static register-pressure imbalance estimate for a configuration's
+    /// value counts: the summed overflow past each register file. Coarse
+    /// by design — it only has to *order* configurations, the scheduler's
+    /// MaxLive does the real check.
+    fn pressure_overflow(&self, counts: &[u64; 4]) -> u64 {
+        counts.iter().zip(&self.reg_sizes).map(|(&c, &size)| c.saturating_sub(size)).sum()
+    }
 }
 
 /// Whether the vector form of a memory operation would need realignment
@@ -246,58 +307,76 @@ pub(crate) fn op_misaligned(l: &Loop, m: &MachineConfig, op: &sv_ir::Operation) 
     }
 }
 
-/// Static register-pressure imbalance estimate for a configuration: the
-/// summed overflow of value counts past each register file, where a
-/// scalar op holds `k` values (one per lane) in its scalar file and a
-/// vector op holds one value in its (smaller) vector file. Coarse by
-/// design — it only has to *order* configurations, the scheduler's
-/// MaxLive does the real check.
-fn pressure_overflow(model: &CostModel<'_>, part: &[bool]) -> u64 {
-    use sv_ir::RegClass;
-    let mut counts = [0u64; 4];
-    for (i, op) in model.l.ops.iter().enumerate() {
-        if !op.defines_value() {
-            continue;
-        }
-        let class = if part[i] {
-            RegClass::of(op.opcode.ty, true)
-        } else {
-            RegClass::of(op.opcode.ty, false)
-        };
-        let slot = RegClass::ALL.iter().position(|&c| c == class).expect("indexed");
-        counts[slot] += if part[i] { 1 } else { u64::from(model.k) };
-    }
-    RegClass::ALL
-        .iter()
-        .enumerate()
-        .map(|(slot, &c)| counts[slot].saturating_sub(u64::from(model.m.regs.size(c))))
-        .sum()
-}
-
-/// Complete bin-packing of a configuration (Figure 2, BIN-PACK): loop
-/// overhead first, then every operation in most-constrained-first order,
-/// then the required transfers. Returns the bins and per-op placements.
+/// A complete bin-packing of one configuration (Figure 2, BIN-PACK) and
+/// where every op's reservations landed: one flat arena of
+/// `(instance, cycles)` entries with per-op spans into it. A descent
+/// allocates one and repacks it in place after every committed move.
 struct Packed {
     bins: Bins,
-    own: Vec<sv_modsched::Placement>,
-    comm: Vec<sv_modsched::Placement>,
+    /// Every reservation of the packing in the order it was made: the
+    /// loop overhead's (outside every span: never released), each op's
+    /// own in pack order, then each op's transfers in op order.
+    entries: Vec<(usize, u32)>,
+    /// Span in `entries` of each op's own execution reservations…
+    own: Vec<Range<usize>>,
+    /// …and of the transfers of its value.
+    comm: Vec<Range<usize>>,
+    /// Scratch for a probe's trial reservations.
+    trial: Vec<(usize, u32)>,
 }
 
-fn bin_pack(model: &CostModel<'_>, part: &[bool]) -> Packed {
-    let mut bins = Bins::new(model.m.resource_pool());
-    for reqs in model.m.loop_overhead() {
-        bins.reserve(&reqs);
+impl Packed {
+    /// Bin-pack configuration `part`.
+    fn new(model: &CostModel<'_>, part: &[bool]) -> Packed {
+        let n = model.l.ops.len();
+        let mut packed = Packed {
+            bins: Bins::new(model.m.resource_pool()),
+            entries: Vec::new(),
+            own: vec![0..0; n],
+            comm: vec![0..0; n],
+            trial: Vec::new(),
+        };
+        packed.repack(model, part);
+        packed
     }
-    let n = model.l.ops.len();
-    let mut own = vec![sv_modsched::Placement::default(); n];
-    let mut comm = vec![sv_modsched::Placement::default(); n];
-    for &i in &model.pack_order {
-        own[i] = model.reserve_own(&mut bins, i, part[i]);
+
+    /// Re-pack from empty bins: loop overhead first, then every operation
+    /// in most-constrained-first order, then the required transfers.
+    fn repack(&mut self, model: &CostModel<'_>, part: &[bool]) {
+        self.bins.clear();
+        self.entries.clear();
+        for reqs in &model.overhead {
+            self.bins.reserve_into(reqs, &mut self.entries);
+        }
+        self.pack_from(model, part, 0);
     }
-    for (i, c) in comm.iter_mut().enumerate() {
-        *c = model.reserve_comm(&mut bins, i, part);
+
+    /// Re-pack after op `o` alone flipped. The ops ahead of `o` in pack
+    /// order see the same bins as before and place exactly as a fresh
+    /// pack would, so only what was placed from `o` on — the rest of the
+    /// own reservations and every transfer, the arena's tail — is
+    /// released and redone.
+    fn repack_after_flip(&mut self, model: &CostModel<'_>, part: &[bool], o: usize) {
+        let cut = self.own[o].start;
+        self.bins.release(&self.entries[cut..]);
+        self.entries.truncate(cut);
+        self.pack_from(model, part, model.pack_pos[o]);
     }
-    Packed { bins, own, comm }
+
+    /// Place the own reservations from pack position `from` on, then
+    /// every transfer.
+    fn pack_from(&mut self, model: &CostModel<'_>, part: &[bool], from: usize) {
+        for &i in &model.pack_order[from..] {
+            let start = self.entries.len();
+            model.reserve_own(&mut self.bins, i, part[i], &mut self.entries);
+            self.own[i] = start..self.entries.len();
+        }
+        for i in 0..part.len() {
+            let start = self.entries.len();
+            model.reserve_comm(&mut self.bins, i, part, &mut self.entries);
+            self.comm[i] = start..self.entries.len();
+        }
+    }
 }
 
 /// Run the partitioner on `l` for machine `m`.
@@ -380,6 +459,22 @@ pub fn partition_ops_with_legality(
     cfg: &SelectiveConfig,
     statuses: &[VecStatus],
 ) -> PartitionResult {
+    partition_with(l, g, m, cfg, statuses, probe_switch)
+}
+
+/// The cost of flipping op `i`: the `(high-water mark, sum of squares)`
+/// the bins read with it switched, leaving `packed` and `part` as found.
+type Probe = fn(&CostModel<'_>, &mut Packed, &mut [bool], usize) -> (u32, u64);
+
+/// [`partition_ops_with_legality`] costing candidate moves with `probe`.
+fn partition_with(
+    l: &Loop,
+    g: &DepGraph,
+    m: &MachineConfig,
+    cfg: &SelectiveConfig,
+    statuses: &[VecStatus],
+    probe: Probe,
+) -> PartitionResult {
     let movable = movable_ops(l, m, statuses);
     let model = CostModel::new(l, g, m, cfg);
 
@@ -388,12 +483,12 @@ pub fn partition_ops_with_legality(
     // and keep the cheaper result. The second start removes the rare local
     // minimum where full vectorization would beat the all-scalar descent.
     let scalar_start = vec![false; l.ops.len()];
-    let mut best = kl_descend(&model, cfg, &movable, scalar_start, cfg.max_moves);
+    let mut best = kl_descend(&model, cfg, &movable, scalar_start, cfg.max_moves, probe);
     if movable.iter().any(|&v| v) {
         // The second descent spends whatever the first left of the budget.
         let remaining = cfg.max_moves.map(|cap| cap.saturating_sub(best.moves_evaluated));
         let full_start = movable.clone();
-        let alt = kl_descend(&model, cfg, &movable, full_start, remaining);
+        let alt = kl_descend(&model, cfg, &movable, full_start, remaining, probe);
         let budget_exhausted = best.budget_exhausted || alt.budget_exhausted;
         let iterations = best.iterations + alt.iterations;
         let moves_evaluated = best.moves_evaluated + alt.moves_evaluated;
@@ -426,6 +521,7 @@ fn kl_descend(
     movable: &[bool],
     start: Vec<bool>,
     move_cap: Option<u64>,
+    probe: Probe,
 ) -> PartitionResult {
     let n = movable.len();
     let mut moves_evaluated = 0u64;
@@ -433,9 +529,14 @@ fn kl_descend(
     let mut bin_packs = 1u64;
     let mut budget_exhausted = false;
     let mut part = start;
-    let mut packed = bin_pack(model, &part);
+    let mut packed = Packed::new(model, &part);
     let mut best_part = part.clone();
     let mut best_cost = packed.bins.high_water_mark();
+    // Register-file value counts of `part` (they break cost ties only
+    // under `pressure_aware`).
+    let mut counts = model.pressure_counts(&part);
+    let movable_count = movable.iter().filter(|&&v| v).count();
+    let mut locked = vec![false; n];
 
     let mut iterations = 0u32;
     let mut last_cost = u32::MAX;
@@ -447,10 +548,9 @@ fn kl_descend(
         }
         last_cost = best_cost;
         iterations += 1;
-        let mut locked = vec![false; n];
+        locked.fill(false);
 
         // Lines 10–18: reposition every movable op exactly once.
-        let movable_count = movable.iter().filter(|&&v| v).count();
         for _ in 0..movable_count {
             // FIND-OP-TO-SWITCH: probe each unlocked candidate.
             let mut best_probe: Option<((u32, u64, u64), usize)> = None;
@@ -463,12 +563,11 @@ fn kl_descend(
                     break 'passes;
                 }
                 moves_evaluated += 1;
-                let cost = probe_switch(model, &mut packed, &mut part, i);
+                let cost = probe(model, &mut packed, &mut part, i);
                 let pressure = if cfg.pressure_aware {
-                    part[i] = !part[i];
-                    let p = pressure_overflow(model, &part);
-                    part[i] = !part[i];
-                    p
+                    let mut flipped = counts;
+                    model.flip_pressure(&mut flipped, i, part[i]);
+                    model.pressure_overflow(&flipped)
                 } else {
                     0
                 };
@@ -484,22 +583,24 @@ fn kl_descend(
             let Some((_, op)) = best_probe else { break };
 
             // SWITCH-OP + fresh BIN-PACK (lines 12–14).
+            model.flip_pressure(&mut counts, op, part[op]);
             part[op] = !part[op];
             locked[op] = true;
             moves_committed += 1;
             bin_packs += 1;
-            packed = bin_pack(model, &part);
+            packed.repack_after_flip(model, &part, op);
             let cost = packed.bins.high_water_mark();
             if cost < best_cost {
                 best_cost = cost;
-                best_part = part.clone();
+                best_part.copy_from_slice(&part);
             }
         }
 
         // Line 19: restart from the best configuration.
-        part = best_part.clone();
+        part.copy_from_slice(&best_part);
+        counts = model.pressure_counts(&part);
         bin_packs += 1;
-        packed = bin_pack(model, &part);
+        packed.repack(model, &part);
     }
 
     PartitionResult {
@@ -513,32 +614,48 @@ fn kl_descend(
     }
 }
 
-/// TEST-REPARTITION (lines 29–32): checkpoint the bins, release the op's
-/// own resources plus the transfers of its value and its producers'
-/// values, flip, re-reserve, read the cost, and restore.
+/// The spans a probe of op `i` releases: its own reservations, the
+/// transfers of its value, and the transfers of its producers' values.
+fn affected<'s>(
+    model: &'s CostModel<'_>,
+    own: &'s [Range<usize>],
+    comm: &'s [Range<usize>],
+    i: usize,
+) -> impl Iterator<Item = Range<usize>> + 's {
+    [own[i].clone(), comm[i].clone()]
+        .into_iter()
+        .chain(model.producers[i].iter().map(|p| comm[p.index()].clone()))
+}
+
+/// TEST-REPARTITION (lines 29–32): release the op's own resources plus
+/// the transfers of its value and its producers' values, flip,
+/// re-reserve, and read the cost; then undo — release the trial
+/// reservations and re-apply the released ones.
 fn probe_switch(
     model: &CostModel<'_>,
     packed: &mut Packed,
     part: &mut [bool],
     i: usize,
 ) -> (u32, u64) {
-    let checkpoint = packed.bins.checkpoint();
-
-    packed.bins.release(&packed.own[i]);
-    packed.bins.release(&packed.comm[i]);
-    for p in &model.producers[i] {
-        packed.bins.release(&packed.comm[p.index()]);
+    let Packed { bins, entries, own, comm, trial } = packed;
+    for span in affected(model, own, comm, i) {
+        bins.release(&entries[span]);
     }
 
     part[i] = !part[i];
-    let _ = model.reserve_own(&mut packed.bins, i, part[i]);
-    let _ = model.reserve_comm(&mut packed.bins, i, part);
+    trial.clear();
+    model.reserve_own(bins, i, part[i], trial);
+    model.reserve_comm(bins, i, part, trial);
     for p in &model.producers[i] {
-        let _ = model.reserve_comm(&mut packed.bins, p.index(), part);
+        model.reserve_comm(bins, p.index(), part, trial);
     }
-    let cost = (packed.bins.high_water_mark(), packed.bins.sum_squares());
+    let cost = (bins.high_water_mark(), bins.sum_squares());
     part[i] = !part[i];
-    packed.bins.restore(&checkpoint);
+
+    bins.release(trial);
+    for span in affected(model, own, comm, i) {
+        bins.reapply(&entries[span]);
+    }
     cost
 }
 
@@ -546,6 +663,7 @@ fn probe_switch(
 mod tests {
     use super::*;
     use sv_ir::{LoopBuilder, ScalarType};
+    use sv_machine::MachineRegistry;
 
     fn run(l: &Loop, m: &MachineConfig) -> PartitionResult {
         let g = DepGraph::build(l);
@@ -587,7 +705,7 @@ mod tests {
         let g = DepGraph::build(&l);
         let model_cfg = SelectiveConfig::default();
         let r = partition_ops(&l, &g, &m, &model_cfg);
-        let all_scalar = bin_pack(
+        let all_scalar = Packed::new(
             &CostModel::new(&l, &g, &m, &model_cfg),
             &vec![false; l.ops.len()],
         );
@@ -642,7 +760,7 @@ mod tests {
         let g = DepGraph::build(&l);
         let r = partition_ops(&l, &g, &m, &SelectiveConfig::default());
         let scalar_cost =
-            bin_pack(&CostModel::new(&l, &g, &m, &SelectiveConfig::default()), &vec![
+            Packed::new(&CostModel::new(&l, &g, &m, &SelectiveConfig::default()), &vec![
                 false;
                 l.ops.len()
             ])
@@ -709,6 +827,176 @@ mod tests {
                     !rm.partition[i],
                     "memory op {i} vectorized without a merge unit under AssumeMisaligned"
                 );
+            }
+        }
+    }
+
+    /// TEST-REPARTITION by snapshot, the oracle for [`probe_switch`]:
+    /// clone the bins, release, flip, re-reserve, read both costs by
+    /// rescanning the weights, and put the clone back.
+    fn checkpoint_probe(
+        model: &CostModel<'_>,
+        packed: &mut Packed,
+        part: &mut [bool],
+        i: usize,
+    ) -> (u32, u64) {
+        let checkpoint = packed.bins.clone();
+        let Packed { bins, entries, own, comm, .. } = packed;
+        for span in affected(model, own, comm, i) {
+            bins.release(&entries[span]);
+        }
+        part[i] = !part[i];
+        let mut scratch = Vec::new();
+        model.reserve_own(bins, i, part[i], &mut scratch);
+        model.reserve_comm(bins, i, part, &mut scratch);
+        for p in &model.producers[i] {
+            model.reserve_comm(bins, p.index(), part, &mut scratch);
+        }
+        let w = bins.weights();
+        let cost = (
+            w.iter().copied().max().unwrap_or(0),
+            w.iter().map(|&x| u64::from(x) * u64::from(x)).sum(),
+        );
+        part[i] = !part[i];
+        *bins = checkpoint;
+        cost
+    }
+
+    /// The builtin machines plus every spec in `examples/machines`.
+    fn registry_machines() -> Vec<MachineConfig> {
+        let mut reg = MachineRegistry::builtin();
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/machines");
+        reg.load_dir(&dir).expect("examples/machines must parse");
+        reg.iter().map(|(_, m, _)| m.clone()).collect()
+    }
+
+    /// The undo-log probe partitions exactly as the clone-checkpoint
+    /// oracle does — every `PartitionResult` field — over the benchmark
+    /// suite on every registry machine, under `cfg`.
+    fn assert_matches_checkpoint_oracle(cfg: &SelectiveConfig) {
+        let loops: Vec<Loop> =
+            sv_workloads::all_benchmarks().into_iter().flat_map(|s| s.loops).collect();
+        let machines = registry_machines();
+        assert!(machines.len() >= 3, "registry has {} machines", machines.len());
+        for m in &machines {
+            for l in &loops {
+                let g = DepGraph::build(l);
+                let statuses = vectorizable_ops(l, &g, m.vector_length);
+                let fast = partition_ops_with_legality(l, &g, m, cfg, &statuses);
+                let oracle = partition_with(l, &g, m, cfg, &statuses, checkpoint_probe);
+                assert_eq!(fast, oracle, "{} on {} under {cfg:?}", l.name, m.name);
+            }
+        }
+    }
+
+    #[test]
+    fn undo_probe_matches_checkpoint_oracle_by_default() {
+        assert_matches_checkpoint_oracle(&SelectiveConfig::default());
+    }
+
+    #[test]
+    fn undo_probe_matches_checkpoint_oracle_without_squares_tiebreak() {
+        assert_matches_checkpoint_oracle(&SelectiveConfig {
+            squares_tiebreak: false,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    fn undo_probe_matches_checkpoint_oracle_ignoring_communication() {
+        assert_matches_checkpoint_oracle(&SelectiveConfig {
+            account_communication: false,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    fn undo_probe_matches_checkpoint_oracle_pressure_aware() {
+        assert_matches_checkpoint_oracle(&SelectiveConfig {
+            pressure_aware: true,
+            ..Default::default()
+        });
+    }
+
+    /// The pressure estimate by a rescan of every op, classifying each
+    /// value on the spot: the oracle for the incremental counts.
+    fn pressure_by_rescan(model: &CostModel<'_>, part: &[bool]) -> u64 {
+        let mut counts = [0u64; 4];
+        for (i, op) in model.l.ops.iter().enumerate() {
+            if !op.defines_value() {
+                continue;
+            }
+            let class = RegClass::of(op.opcode.ty, part[i]);
+            let slot = RegClass::ALL.iter().position(|&c| c == class).expect("indexed");
+            counts[slot] += if part[i] { 1 } else { u64::from(model.k) };
+        }
+        RegClass::ALL
+            .iter()
+            .enumerate()
+            .map(|(slot, &c)| counts[slot].saturating_sub(u64::from(model.m.regs.size(c))))
+            .sum()
+    }
+
+    /// Counts updated by one flipped op at a time track a recount, and
+    /// the overflow read from them equals the rescan estimate.
+    #[test]
+    fn incremental_pressure_matches_a_rescan() {
+        let cfg = SelectiveConfig { pressure_aware: true, ..Default::default() };
+        for m in registry_machines() {
+            for l in sv_workloads::all_benchmarks().into_iter().flat_map(|s| s.loops) {
+                let g = DepGraph::build(&l);
+                let model = CostModel::new(&l, &g, &m, &cfg);
+                let mut part = vec![false; l.ops.len()];
+                let mut counts = model.pressure_counts(&part);
+                // Flip every op on, then every third back off.
+                let flips = (0..part.len()).chain((0..part.len()).step_by(3));
+                for i in flips {
+                    let mut probed = counts;
+                    model.flip_pressure(&mut probed, i, part[i]);
+                    part[i] = !part[i];
+                    assert_eq!(
+                        model.pressure_overflow(&probed),
+                        pressure_by_rescan(&model, &part),
+                        "{} on {}",
+                        l.name,
+                        m.name
+                    );
+                    counts = probed;
+                    assert_eq!(counts, model.pressure_counts(&part), "{} on {}", l.name, m.name);
+                }
+            }
+        }
+    }
+
+    /// Repacking a reused arena — from empty, or after a single flip —
+    /// gives exactly the packing a fresh one does: bins, entries and spans.
+    #[test]
+    fn repacks_match_a_fresh_pack() {
+        let assert_fresh = |packed: &Packed, model: &CostModel<'_>, part: &[bool], ctx: &str| {
+            let fresh = Packed::new(model, part);
+            assert_eq!(packed.bins, fresh.bins, "{ctx}");
+            assert_eq!(packed.bins.high_water_mark(), fresh.bins.high_water_mark(), "{ctx}");
+            assert_eq!(packed.bins.sum_squares(), fresh.bins.sum_squares(), "{ctx}");
+            assert_eq!(packed.entries, fresh.entries, "{ctx}");
+            assert_eq!((&packed.own, &packed.comm), (&fresh.own, &fresh.comm), "{ctx}");
+        };
+        let cfg = SelectiveConfig::default();
+        for m in [MachineConfig::paper_default(), MachineConfig::figure1()] {
+            for l in sv_workloads::all_benchmarks().into_iter().flat_map(|s| s.loops) {
+                let g = DepGraph::build(&l);
+                let model = CostModel::new(&l, &g, &m, &cfg);
+                let movable = movable_ops(&l, &m, &vectorizable_ops(&l, &g, m.vector_length));
+                let mut part = vec![false; l.ops.len()];
+                let mut packed = Packed::new(&model, &movable);
+                packed.repack(&model, &part);
+                assert_fresh(&packed, &model, &part, &l.name);
+                // Flip every movable op on, then every other one back off.
+                let flips = movable.iter().enumerate().filter(|&(_, &v)| v).map(|(i, _)| i);
+                for o in flips.clone().chain(flips.step_by(2)) {
+                    part[o] = !part[o];
+                    packed.repack_after_flip(&model, &part, o);
+                    assert_fresh(&packed, &model, &part, &format!("{} flip {o}", l.name));
+                }
             }
         }
     }

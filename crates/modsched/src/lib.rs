@@ -48,7 +48,7 @@ mod regalloc;
 mod sched;
 mod validate;
 
-pub use binpack::{Bins, Placement};
+pub use binpack::Bins;
 pub use emit::{emit_flat, emit_flat_for, FlatListing, Row};
 pub use exact::{exact_schedule, ExactOutcome, ProbeBudget};
 pub use mii::{compute_mii, compute_recmii, compute_resmii, edge_delay};

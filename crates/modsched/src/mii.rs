@@ -31,13 +31,14 @@ pub fn edge_delay(e: &DepEdge, l: &Loop, m: &MachineConfig) -> i64 {
 pub fn compute_resmii(l: &Loop, m: &MachineConfig) -> u32 {
     let pool = m.resource_pool();
     let mut bins = Bins::new(pool.clone());
+    let mut placed = Vec::new();
     for reqs in m.loop_overhead() {
-        bins.reserve(&reqs);
+        bins.reserve_into(&reqs, &mut placed);
     }
     let mut order: Vec<usize> = (0..l.ops.len()).collect();
     order.sort_by_key(|&i| (m.alternatives_count_in(&pool, l.ops[i].opcode), i));
     for i in order {
-        bins.reserve(&m.requirements(l.ops[i].opcode));
+        bins.reserve_into(&m.requirements(l.ops[i].opcode), &mut placed);
     }
     bins.high_water_mark()
 }
