@@ -11,6 +11,11 @@ JOBS="$(nproc 2>/dev/null || echo 1)"
 cargo build --release --workspace
 cargo test --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+# The two examples that execute scheduled code (Figure 1 under every
+# strategy, and the narrated pipeline walkthrough) assert measured II ==
+# scheduled II; a nonzero exit fails CI.
+cargo run --release --example dot_product > /dev/null
+cargo run --release --example paper_walkthrough > /dev/null
 # The fuzzer sweeps every generator profile per seed — including the
 # `predicated` profile (dense if-converted cmp+select chains), so each
 # fuzz block below is also a 100+-seed predicated sweep.

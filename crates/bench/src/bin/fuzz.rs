@@ -18,7 +18,7 @@
 //! ```
 //!
 //! `--oracle-selfcheck` additionally executes every compiled case on both
-//! the pre-decoded fast engine and the retained reference interpreters
+//! the pre-decoded fast engine and the retained reference interpreter
 //! (`sv_sim::reference`) and fails on any bit-level disagreement between
 //! them, shrinking the diverging loop like any other failure.
 //!
@@ -132,7 +132,7 @@ fn fuzz_loop(name: &str, profile: &SynthProfile, seed: u64) -> Loop {
 /// source-vs-compiled differential execution.
 #[derive(Clone, Copy, Default)]
 struct Checks {
-    /// Fast engine vs retained reference interpreters.
+    /// Fast engine vs retained reference interpreter.
     oracle: bool,
     /// Cycle-accurate executor: state vs reference + measured II gate.
     executed: bool,
@@ -142,7 +142,7 @@ struct Checks {
 
 /// Compile + differentially execute one (loop, machine, strategy) case.
 /// `checks.oracle` additionally runs the fast execution engine against
-/// the retained reference interpreters ([`oracle_selfcheck`]);
+/// the retained reference interpreter ([`oracle_selfcheck`]);
 /// `checks.executed` replays the plan through the cycle-accurate
 /// executor and holds it to the state + measured-II gates
 /// ([`sv_sim::executed_selfcheck`]). Returns a description of the

@@ -2,7 +2,7 @@
 //!
 //! Times one full differential-oracle pass (`run_source` +
 //! `run_compiled`) per case on both the pre-decoded fast engine and the
-//! retained reference interpreters, plus one cycle-accurate executed
+//! retained reference interpreter, plus one cycle-accurate executed
 //! pass (`run_compiled_executed` — the `sched` engine) per case, over
 //! the hand-written kernels of the benchmark suites plus a set of
 //! seeded synthetic loops. Criterion-free and offline:

@@ -30,7 +30,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use sv_analysis::DepGraph;
 use sv_ir::{Loop, VerifyError};
-use sv_machine::MachineConfig;
+use sv_machine::{MachineConfig, ResourceClass};
 use sv_modsched::{
     allocate_rotating, modulo_schedule_with, validate_schedule, Schedule, ScheduleConfig,
     ScheduleError, ValidationError,
@@ -86,6 +86,17 @@ pub enum CompileError {
         error: VerifyError,
         /// `Display` dump of the loop (re-parseable).
         dump: String,
+    },
+    /// The machine has no unit of a resource class the source loop needs
+    /// (one of its opcodes, or the loop control when the machine counts
+    /// loop overhead): no strategy can schedule it.
+    UnsupportedMachine {
+        /// Loop name.
+        looop: String,
+        /// The class with zero units.
+        class: ResourceClass,
+        /// What needs it: an op (`%2 mul.f64`) or `loop control`.
+        needed_by: String,
     },
     /// A vectorizing transformation rejected its input or emitted an
     /// invalid loop.
@@ -174,7 +185,9 @@ impl CompileError {
     /// The pass the error originated in.
     pub fn pass(&self) -> Pass {
         match self {
-            CompileError::InvalidInput { .. } => Pass::Input,
+            CompileError::InvalidInput { .. } | CompileError::UnsupportedMachine { .. } => {
+                Pass::Input
+            }
             CompileError::Transform { .. } => Pass::Transform,
             CompileError::Schedule { .. } => Pass::Schedule,
             CompileError::BudgetExhausted { pass, .. } => *pass,
@@ -190,6 +203,7 @@ impl CompileError {
     pub fn loop_name(&self) -> &str {
         match self {
             CompileError::InvalidInput { looop, .. }
+            | CompileError::UnsupportedMachine { looop, .. }
             | CompileError::Transform { looop, .. }
             | CompileError::Schedule { looop, .. }
             | CompileError::BudgetExhausted { looop, .. }
@@ -207,6 +221,10 @@ impl fmt::Display for CompileError {
             CompileError::InvalidInput { looop, error, dump } => {
                 write!(f, "invalid input loop `{looop}`: {error}\n{dump}")
             }
+            CompileError::UnsupportedMachine { looop, class, needed_by } => write!(
+                f,
+                "unsupported machine for `{looop}`: {needed_by} needs a `{class}` unit but the machine has none"
+            ),
             CompileError::Transform { strategy, looop, error } => {
                 write!(f, "[{strategy}/transform] `{looop}`: {error}")
             }
@@ -430,8 +448,10 @@ pub struct CompilationReport {
     pub stats: PassStats,
 }
 
-/// Minimal JSON string escape (quotes, backslashes, control characters).
-pub(crate) fn json_escape(s: &str) -> String {
+/// Minimal JSON string escape (quotes, backslashes, control characters) —
+/// the one escaper behind every JSON line the workspace writes (`--stats`
+/// dumps, cache result bodies, the `svd` wire protocol).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -840,6 +860,21 @@ fn needs_cleanup(looop: &Loop) -> bool {
             && looop.trip.count.is_multiple_of(u64::from(looop.iter_scale)))
 }
 
+/// The first resource class the source loop needs — for one of its
+/// opcodes, or for loop control when the machine counts it — that `m`
+/// has no unit of, with what needs it.
+fn missing_unit(l: &Loop, m: &MachineConfig) -> Option<(ResourceClass, String)> {
+    let pool = m.resource_pool();
+    let missing = |r: &sv_machine::Reservation| pool.capacity(r.class) == 0;
+    for op in &l.ops {
+        if let Some(r) = m.requirements(op.opcode).iter().find(|r| missing(r)) {
+            return Some((r.class, format!("{} {}", op.id, op.opcode)));
+        }
+    }
+    let control = m.loop_overhead().into_iter().flatten().find(missing)?;
+    Some((control.class, "loop control".to_string()))
+}
+
 /// Render a contained panic payload.
 fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -876,6 +911,9 @@ pub fn compile_checked(
             error,
             dump: l.to_string(),
         });
+    }
+    if let Some((class, needed_by)) = missing_unit(l, m) {
+        return Err(CompileError::UnsupportedMachine { looop: l.name.clone(), class, needed_by });
     }
 
     let mut report = CompilationReport {
@@ -1059,5 +1097,47 @@ mod tests {
         assert_eq!(report.stats.kl_probes, 0);
         assert_eq!(report.stats.partition_ns, 0);
         assert!(report.stats.schedules > 0);
+    }
+
+    #[test]
+    fn zero_unit_classes_are_input_errors_not_degradations() {
+        let l = figure1_dot();
+        let cases = [
+            ("issue_width", ResourceClass::Issue, "%0 load.f64"),
+            ("int_units", ResourceClass::Int, "loop control"),
+            ("fp_units", ResourceClass::Fp, "%2 mul.f64"),
+            ("mem_units", ResourceClass::Mem, "%0 load.f64"),
+            ("branch_units", ResourceClass::Branch, "loop control"),
+        ];
+        for (key, want_class, want_op) in cases {
+            let m = MachineConfig::from_spec(&format!("{key} = 0\n")).expect("spec parses");
+            for strategy in Strategy::ALL {
+                let err = compile_checked(&l, &m, &DriverConfig::for_strategy(strategy))
+                    .expect_err("no unit of a needed class");
+                let CompileError::UnsupportedMachine { class, needed_by, .. } = &err else {
+                    panic!("{strategy}: expected UnsupportedMachine, got {err}");
+                };
+                assert_eq!((*class, needed_by.as_str()), (want_class, want_op), "{strategy}");
+                assert_eq!(err.pass(), Pass::Input);
+            }
+        }
+        // Loop control needs no units when the machine does not count it.
+        let mut m = MachineConfig::paper_default();
+        m.branch_units = 0;
+        m.count_loop_overhead = false;
+        assert!(compile_checked(&l, &m, &DriverConfig::default()).is_ok());
+    }
+
+    #[test]
+    fn dev_builds_keep_runtime_checks() {
+        // The workspace compiles this crate at opt-level 2 in the dev
+        // profile; that override must leave debug assertions and overflow
+        // checks on. The test binary's own path tells the profile.
+        let exe = std::env::current_exe().expect("test binary path");
+        if !exe.components().any(|c| c.as_os_str() == "debug") {
+            return; // a release test build: checks are off by design
+        }
+        assert!(catch_unwind(|| debug_assert!(std::hint::black_box(false))).is_err());
+        assert!(catch_unwind(|| std::hint::black_box(u32::MAX) + 1).is_err());
     }
 }

@@ -984,7 +984,7 @@ fn supervise(inner: &Arc<Inner>) {
                 eprintln!(
                     "{{\"event\":\"drainer_restart\",\"restarts\":{restarts},\
                      \"requeued\":{requeued},\"fruitless\":{fruitless},\"panic\":\"{}\"}}",
-                    crate::json::escape(&panic_message(payload.as_ref()))
+                    sv_core::json_escape(&panic_message(payload.as_ref()))
                 );
                 if fruitless > MAX_FRUITLESS_RESTARTS {
                     fail_pending(

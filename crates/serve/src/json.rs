@@ -282,24 +282,6 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-/// Minimal JSON string escape (quotes, backslashes, control characters) —
-/// the writer-side twin of [`parse`].
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,7 +303,7 @@ mod tests {
     #[test]
     fn string_escapes_round_trip() {
         for s in ["plain", "a\"b\\c", "line\nbreak\ttab", "unicode: é π", "ctrl\u{1}"] {
-            let doc = format!("{{\"k\":\"{}\"}}", escape(s));
+            let doc = format!("{{\"k\":\"{}\"}}", sv_core::json_escape(s));
             let v = parse(&doc).unwrap();
             assert_eq!(v.get("k").unwrap().as_str(), Some(s), "doc: {doc}");
         }

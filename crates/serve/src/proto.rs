@@ -24,7 +24,7 @@
 //! objects whether compiled, served from memory, or served from disk.
 
 use crate::json::{self, Value};
-use sv_core::{CompileError, DriverConfig, SelectiveConfig, Strategy};
+use sv_core::{json_escape, CompileError, DriverConfig, SelectiveConfig, Strategy};
 use sv_machine::{MachineConfig, MachineRegistry};
 use std::fmt;
 use std::time::Duration;
@@ -225,14 +225,14 @@ impl CompileRequest {
     /// otherwise — matching the wire's mutual-exclusion rule.
     pub fn to_wire(&self, id: u64) -> String {
         let machine_field = match &self.machine_spec {
-            Some(spec) => format!("\"machine_spec\":\"{}\"", json::escape(spec)),
-            None => format!("\"machine\":\"{}\"", json::escape(&self.machine)),
+            Some(spec) => format!("\"machine_spec\":\"{}\"", json_escape(spec)),
+            None => format!("\"machine\":\"{}\"", json_escape(&self.machine)),
         };
         format!(
             "{{\"verb\":\"compile\",\"id\":{id},{machine_field},\"strategy\":\"{}\",\
              \"loop\":\"{}\"}}",
             strategy_name(self.strategy),
-            json::escape(&self.loop_text),
+            json_escape(&self.loop_text),
         )
     }
 }
@@ -431,17 +431,17 @@ pub fn error_object(e: &ServeError) -> String {
         ServeError::Compile(ce) => format!(
             "{{\"kind\":\"compile\",\"pass\":\"{}\",\"loop\":\"{}\",\"message\":\"{}\"}}",
             ce.pass(),
-            json::escape(ce.loop_name()),
-            json::escape(&ce.to_string())
+            json_escape(ce.loop_name()),
+            json_escape(&ce.to_string())
         ),
         ServeError::Overloaded { retry_after_ms, .. } => format!(
             "{{\"kind\":\"overloaded\",\"retry_after_ms\":{retry_after_ms},\"message\":\"{}\"}}",
-            json::escape(&e.to_string())
+            json_escape(&e.to_string())
         ),
         other => format!(
             "{{\"kind\":\"{}\",\"message\":\"{}\"}}",
             other.kind(),
-            json::escape(&other.to_string())
+            json_escape(&other.to_string())
         ),
     }
 }

@@ -22,7 +22,6 @@
 //! the client see a typed `unavailable` error. `shutdown` is broadcast
 //! to all shards, acked to the client, and then shuts the router down.
 
-use crate::json::escape;
 use crate::proto::{
     error_response, ok_response, parse_request, CompileRequest, Request, ServeError,
 };
@@ -30,6 +29,7 @@ use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
+use sv_core::json_escape;
 use sv_machine::MachineRegistry;
 
 /// Router knobs.
@@ -336,7 +336,7 @@ impl Router {
             .map(|s| {
                 format!(
                     "{{\"addr\":\"{}\",\"healthy\":{}}}",
-                    escape(&s.addr),
+                    json_escape(&s.addr),
                     s.healthy.load(Ordering::Relaxed)
                 )
             })

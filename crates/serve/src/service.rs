@@ -122,10 +122,10 @@ impl ServeService {
             .map(|(name, m, source)| {
                 format!(
                     "{{\"name\":\"{}\",\"machine\":\"{}\",\"hash\":\"{}\",\"source\":\"{}\"}}",
-                    crate::json::escape(name),
-                    crate::json::escape(&m.name),
+                    sv_core::json_escape(name),
+                    sv_core::json_escape(&m.name),
                     m.canonical_hash(),
-                    crate::json::escape(&source.to_string()),
+                    sv_core::json_escape(&source.to_string()),
                 )
             })
             .collect();

@@ -1,30 +1,29 @@
 //! # sv-sim — functional and cycle-level simulation
 //!
 //! The execution substrate standing in for Trimaran's cycle-accurate
-//! simulator:
+//! simulator. It answers two questions with one engine each, plus a
+//! reference to hold both to:
 //!
-//! * [`execute_loop`] — a functional interpreter for loops in any form
-//!   (source, unrolled, vectorized, distributed) over a shared [`Memory`]
-//!   of named arrays, used to prove that every transformation preserves
-//!   semantics;
-//! * [`run_source`] / [`run_compiled`] — whole-plan execution producing
-//!   final memory and live-out values, plus [`assert_equivalent`] which
-//!   compares a compiled plan against its source loop;
-//! * [`play_schedule`] / [`validate_schedule`] — a cycle-level
-//!   software-pipeline player that walks a modulo schedule with all
-//!   in-flight iterations, validating both dependence latencies and
-//!   per-cycle resource capacities, and producing the exact cycle count
-//!   the analytic timing model is cross-checked against;
-//! * [`execute_pipelined`] — functional execution of the schedule itself,
-//!   every operation instance at its issue cycle with registers renamed
-//!   per iteration;
-//! * [`execute_schedule`] — the cycle-accurate VLIW executor: runs the
-//!   emitted prologue/kernel/epilogue layout with interlock stalls,
-//!   per-class unit reservations and latency-tracked delivery, measuring
-//!   the real steady-state cycles per iteration
+//! * **are the values right?** — [`execute_loop`], the pre-decoded fast
+//!   in-order interpreter for loops in any form (source, unrolled,
+//!   vectorized, distributed) over a shared [`Memory`] of named arrays;
+//!   [`run_source`] / [`run_compiled`] run whole plans on it and
+//!   [`assert_equivalent`] / [`check_equivalent`] compare a compiled plan
+//!   against its source loop;
+//! * **does the scheduled code sustain its II?** — [`execute_schedule`],
+//!   the cycle-accurate VLIW executor: runs the emitted
+//!   prologue/kernel/epilogue layout with interlock stalls, per-class
+//!   unit reservations, latency-tracked delivery and per-iteration
+//!   renaming, measuring the real steady-state cycles per iteration
 //!   ([`run_compiled_executed`] / [`executed_selfcheck`] /
 //!   [`compile_executed`] run whole compiled plans through it and prove
-//!   measured II == scheduled II against the reference engine).
+//!   measured II == scheduled II against the reference engine);
+//! * [`reference`] — the original in-order interpreter, the semantic
+//!   anchor: the fast engine must match it bit for bit
+//!   ([`oracle_selfcheck`]) and so must the executed schedule.
+//!
+//! Structural schedule validation (dependence latencies, resource
+//! occupancy) is `sv_modsched::validate_schedule`.
 //!
 //! ```
 //! use sv_sim::{assert_equivalent, run_source};
@@ -49,26 +48,16 @@
 //! ```
 
 mod decoded;
-mod flat_exec;
 mod interp;
 mod memory;
-mod pipeline_exec;
-mod player;
 mod privrot;
 pub mod reference;
 mod run;
 mod sched_exec;
 
 pub use interp::{execute_loop, LiveOutValue};
-pub use flat_exec::execute_flat;
-pub use pipeline_exec::execute_pipelined;
 pub use memory::{Memory, Scalar};
-pub use player::{play_schedule, PlaybackError, PlaybackReport};
 pub use sched_exec::{execute_schedule, ExecError, ExecReport};
-// Structural schedule validation moved down into `sv-modsched` so the
-// `sv-core` driver can run it at pass boundaries; re-exported here for
-// back-compatibility.
-pub use sv_modsched::{validate_schedule, ValidationError};
 pub use run::{
     assert_equivalent, check_equivalent, compile_executed, executed_selfcheck,
     has_register_state_across_cleanup, oracle_selfcheck, run_compiled,

@@ -23,7 +23,7 @@
 //! depth 1 and the whole mechanism is a no-op.
 
 use crate::memory::Memory;
-use sv_ir::{Loop, OpKind};
+use sv_ir::Loop;
 
 /// Measured renaming windows for one launch order of one loop.
 pub(crate) struct PrivRot {
@@ -62,19 +62,6 @@ impl PrivRot {
         let size = l.arrays.iter().map(|d| d.len as i64).collect();
         let active = depth.iter().any(|&d| d > 1);
         PrivRot { depth, size, active }
-    }
-
-    /// Measure from an `(iteration, op)` launch sequence (the flat and
-    /// pipelined executors' representation, where sequence order *is*
-    /// memory-access order).
-    pub(crate) fn for_sequence(l: &Loop, seq: &[(u64, usize)]) -> PrivRot {
-        Self::for_accesses(
-            l,
-            seq.iter().filter_map(|&(j, oi)| {
-                let op = &l.ops[oi];
-                op.mem.as_ref().map(|r| (j, r.array.0, op.opcode.kind == OpKind::Store))
-            }),
-        )
     }
 
     /// Extra element offset renaming an access to `array` at iteration
@@ -121,8 +108,10 @@ impl PrivRot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::Memory;
-    use sv_ir::{LoopBuilder, ScalarType};
+    use crate::memory::{Memory, Scalar};
+    use sv_ir::{LoopBuilder, OpId, OpKind, ScalarType};
+    use sv_machine::MachineConfig;
+    use sv_modsched::FlatListing;
 
     /// data[i] → comm[0] → data[i+8], with `comm` iteration-private: the
     /// canonical scalar↔vector communication shape.
@@ -140,14 +129,26 @@ mod tests {
         l
     }
 
+    /// The memory-access order of an `(iteration, op)` launch sequence.
+    fn accesses<'a>(
+        l: &'a Loop,
+        seq: &'a [(u64, usize)],
+    ) -> impl Iterator<Item = (u64, u32, bool)> + 'a {
+        seq.iter().filter_map(|&(j, oi)| {
+            let op = &l.ops[oi];
+            op.mem.as_ref().map(|r| (j, r.array.0, op.opcode.kind == OpKind::Store))
+        })
+    }
+
+    /// Iteration 1's comm store fires before iteration 0's comm load: the
+    /// overlap the scheduler is allowed to create.
+    const OVERLAPPED: [(u64, usize); 8] =
+        [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (0, 3), (1, 2), (1, 3)];
+
     #[test]
     fn overlapped_sequence_measures_a_window() {
         let l = comm_loop();
-        // Iteration 1's comm store fires before iteration 0's comm load:
-        // the overlap the scheduler is allowed to create.
-        let seq: Vec<(u64, usize)> =
-            vec![(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (0, 3), (1, 2), (1, 3)];
-        let pr = PrivRot::for_sequence(&l, &seq);
+        let pr = PrivRot::for_accesses(&l, accesses(&l, &OVERLAPPED));
         assert_eq!(pr.offset(0, 5), 0, "non-private array never renames");
         assert_eq!(pr.offset(1, 0), 0);
         assert_eq!(pr.offset(1, 1), 4, "iteration 1 gets its own copy");
@@ -159,7 +160,7 @@ mod tests {
         let l = comm_loop();
         let seq: Vec<(u64, usize)> =
             (0..4).flat_map(|j| (0..4).map(move |o| (j, o))).collect();
-        let pr = PrivRot::for_sequence(&l, &seq);
+        let pr = PrivRot::for_accesses(&l, accesses(&l, &seq));
         assert!(!pr.active);
         assert_eq!(pr.offset(1, 3), 0);
     }
@@ -167,46 +168,51 @@ mod tests {
     #[test]
     fn widen_restore_roundtrip_keeps_final_copy() {
         let l = comm_loop();
-        let seq: Vec<(u64, usize)> =
-            vec![(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (0, 3), (1, 2), (1, 3)];
-        let pr = PrivRot::for_sequence(&l, &seq);
+        let pr = PrivRot::for_accesses(&l, accesses(&l, &OVERLAPPED));
         let mut mem = Memory::for_arrays(&l.arrays);
         pr.widen(&mut mem);
         assert_eq!(mem.array(1).len(), 8);
         // Iteration 0 writes its copy, iteration 1 writes its copy.
-        mem.write(1, 0, crate::memory::Scalar::F(10.0));
-        mem.write(1, 4, crate::memory::Scalar::F(11.0));
+        mem.write(1, 0, Scalar::F(10.0));
+        mem.write(1, 4, Scalar::F(11.0));
         pr.restore(&mut mem, 2);
         assert_eq!(mem.array(1).len(), 4);
         assert_eq!(mem.read(1, 0).as_f64(), 11.0, "final iteration's copy survives");
     }
 
-    /// The end-to-end regression: an overlapped launch order that reuses
-    /// a private comm slot across in-flight iterations must compute
-    /// exactly what in-order execution computes.
+    /// The end-to-end regression: an overlapped layout that reuses a
+    /// private comm slot across in-flight iterations must compute exactly
+    /// what in-order execution computes.
     #[test]
     fn overlapped_private_slots_match_in_order() {
         let l = comm_loop();
         let n = 16u64;
         // Software-pipelined order, depth-2 overlap: iteration j+1's comm
-        // store fires before iteration j's comm load.
+        // store fires before iteration j's comm load. One instance per
+        // row, so the executor's access order is the sequence order.
         let mut seq: Vec<(u64, usize)> = vec![(0, 0), (0, 1)];
         for j in 0..n - 1 {
             seq.extend_from_slice(&[(j + 1, 0), (j + 1, 1), (j, 2), (j, 3)]);
         }
         seq.extend_from_slice(&[(n - 1, 2), (n - 1, 3)]);
+        let pr = PrivRot::for_accesses(&l, accesses(&l, &seq));
+        assert_eq!(pr.offset(1, 1), 4, "the overlap needs two copies");
+        let flat = FlatListing {
+            ii: 1,
+            stage_count: 1,
+            prologue: seq.iter().map(|&(j, oi)| vec![(OpId(oi as u32), j)]).collect(),
+            kernel: Vec::new(),
+            epilogue: Vec::new(),
+            truncated_for: Some(n),
+        };
+        let m = MachineConfig::paper_default();
         let mut mem_seq = Memory::for_arrays(&l.arrays);
         let mut mem_ord = mem_seq.clone();
-        let mut mem_ref = mem_seq.clone();
-        crate::decoded::run_sequence(&l, &mut mem_seq, &seq, n);
-        crate::decoded::run_inorder(&l, &mut mem_ord, 0..n);
-        crate::reference::execute_instances(&l, &mut mem_ref, &seq, n);
+        crate::execute_schedule(&l, &m, &flat, &mut mem_seq, 0..n).expect("layout executes");
+        crate::reference::execute_loop(&l, &mut mem_ord, 0..n);
         for a in 0..2u32 {
             for (i, (x, y)) in mem_seq.array(a).iter().zip(mem_ord.array(a)).enumerate() {
                 assert!(x.identical(*y), "array {a}[{i}]: pipelined {x:?} vs in-order {y:?}");
-            }
-            for (i, (x, y)) in mem_ref.array(a).iter().zip(mem_ord.array(a)).enumerate() {
-                assert!(x.identical(*y), "array {a}[{i}]: reference {x:?} vs in-order {y:?}");
             }
         }
     }

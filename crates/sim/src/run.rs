@@ -78,6 +78,24 @@ pub fn run_compiled(c: &CompiledLoop) -> RunResult {
 
 /// [`run_compiled`] parameterized by the in-order executor.
 pub(crate) fn run_compiled_with(c: &CompiledLoop, exec: ExecLoopFn) -> RunResult {
+    walk_pieces(c, |l, _, iters, mem| Ok(exec(l, mem, iters)))
+        .unwrap_or_else(|never: std::convert::Infallible| match never {})
+}
+
+/// Run every piece of a compiled plan in order — each segment's main
+/// loop for the bulk iterations, then its cleanup loop for the remainder
+/// — with the source-level arrays threaded through all pieces.
+/// `run_piece(loop, schedule, iterations, memory)` executes one piece
+/// against its own memory image and returns its live-outs.
+fn walk_pieces<E>(
+    c: &CompiledLoop,
+    mut run_piece: impl FnMut(
+        &Loop,
+        &Schedule,
+        std::ops::Range<u64>,
+        &mut Memory,
+    ) -> Result<Vec<LiveOutValue>, E>,
+) -> Result<RunResult, E> {
     // Thread the maximal shared array prefix through all pieces: every
     // piece's table extends a common base (source arrays plus any
     // scalar-expansion temporaries); only transform-private communication
@@ -102,35 +120,34 @@ pub(crate) fn run_compiled_with(c: &CompiledLoop, exec: ExecLoopFn) -> RunResult
     let mut global = Memory::for_arrays(&base_decls);
     let mut live_outs = BTreeMap::new();
 
-    let run_piece =
-        |global: &mut Memory, l: &Loop, iters: std::ops::Range<u64>, acc: &mut BTreeMap<String, Scalar>| {
-            debug_assert!(l.arrays.len() >= base_len);
-            let mut mem = Memory::for_arrays(&l.arrays);
-            for i in 0..base_len as u32 {
-                mem.copy_array_from(global, i);
-            }
-            let ran = iters.end > iters.start;
-            let outs = exec(l, &mut mem, iters);
-            for i in 0..base_len as u32 {
-                global.copy_array_from(&mem, i);
-            }
-            combine_liveouts(acc, outs, ran);
-        };
-
+    let mut run = |l: &Loop, s: &Schedule, iters: std::ops::Range<u64>| -> Result<(), E> {
+        debug_assert!(l.arrays.len() >= base_len);
+        let mut mem = Memory::for_arrays(&l.arrays);
+        for i in 0..base_len as u32 {
+            mem.copy_array_from(&global, i);
+        }
+        let ran = iters.end > iters.start;
+        let outs = run_piece(l, s, iters, &mut mem)?;
+        for i in 0..base_len as u32 {
+            global.copy_array_from(&mem, i);
+        }
+        combine_liveouts(&mut live_outs, outs, ran);
+        Ok(())
+    };
     for seg in &c.segments {
         let n = seg.looop.executed_iterations();
-        run_piece(&mut global, &seg.looop, 0..n, &mut live_outs);
+        run(&seg.looop, &seg.schedule, 0..n)?;
         let r = seg.looop.remainder_iterations();
         if r > 0 {
-            let (cl, _) = seg
+            let (cl, cs) = seg
                 .cleanup
                 .as_ref()
                 .expect("remainder iterations require a cleanup loop");
             let start = n * u64::from(seg.looop.iter_scale);
-            run_piece(&mut global, cl, start..start + r, &mut live_outs);
+            run(cl, cs, start..start + r)?;
         }
     }
-    RunResult { memory: global, live_outs }
+    Ok(RunResult { memory: global, live_outs })
 }
 
 /// One piece (segment main loop or cleanup) of a compiled plan as run by
@@ -167,46 +184,11 @@ pub fn run_compiled_executed(
     c: &CompiledLoop,
     m: &MachineConfig,
 ) -> Result<(RunResult, Vec<ExecutedPiece>), ExecError> {
-    let pieces_min = c
-        .segments
-        .iter()
-        .flat_map(|s| {
-            std::iter::once(s.looop.arrays.len())
-                .chain(s.cleanup.iter().map(|(cl, _)| cl.arrays.len()))
-        })
-        .min()
-        .unwrap_or(c.source.arrays.len());
-    let base_len = pieces_min.max(c.source.arrays.len());
-    let base_decls: Vec<sv_ir::ArrayDecl> = c
-        .segments
-        .iter()
-        .flat_map(|s| std::iter::once(&s.looop).chain(s.cleanup.iter().map(|(cl, _)| cl)))
-        .find(|l| l.arrays.len() >= base_len)
-        .map(|l| l.arrays[..base_len].to_vec())
-        .unwrap_or_else(|| c.source.arrays.clone());
-    let mut global = Memory::for_arrays(&base_decls);
-    let mut live_outs = BTreeMap::new();
     let mut pieces: Vec<ExecutedPiece> = Vec::new();
-
-    let mut run_piece = |global: &mut Memory,
-                         l: &Loop,
-                         s: &Schedule,
-                         iters: std::ops::Range<u64>,
-                         acc: &mut BTreeMap<String, Scalar>|
-     -> Result<(), ExecError> {
-        debug_assert!(l.arrays.len() >= base_len);
-        let mut mem = Memory::for_arrays(&l.arrays);
-        for i in 0..base_len as u32 {
-            mem.copy_array_from(global, i);
-        }
-        let ran = iters.end > iters.start;
+    let run = walk_pieces(c, |l, s, iters, mem| {
         let n = iters.end - iters.start;
         let flat = emit_flat_for(l, s, n);
-        let (outs, report) = execute_schedule(l, m, &flat, &mut mem, iters)?;
-        for i in 0..base_len as u32 {
-            global.copy_array_from(&mem, i);
-        }
-        combine_liveouts(acc, outs, ran);
+        let (outs, report) = execute_schedule(l, m, &flat, mem, iters)?;
         pieces.push(ExecutedPiece {
             piece: l.name.clone(),
             scheduled_ii: s.ii,
@@ -215,23 +197,9 @@ pub fn run_compiled_executed(
             max_live: s.max_live,
             report,
         });
-        Ok(())
-    };
-
-    for seg in &c.segments {
-        let n = seg.looop.executed_iterations();
-        run_piece(&mut global, &seg.looop, &seg.schedule, 0..n, &mut live_outs)?;
-        let r = seg.looop.remainder_iterations();
-        if r > 0 {
-            let (cl, cs) = seg
-                .cleanup
-                .as_ref()
-                .expect("remainder iterations require a cleanup loop");
-            let start = n * u64::from(seg.looop.iter_scale);
-            run_piece(&mut global, cl, cs, start..start + r, &mut live_outs)?;
-        }
-    }
-    Ok((RunResult { memory: global, live_outs }, pieces))
+        Ok(outs)
+    })?;
+    Ok((run, pieces))
 }
 
 /// Run a compiled plan through the cycle-accurate executor and hold it to
@@ -455,13 +423,6 @@ pub fn assert_equivalent(src: &Loop, compiled: &CompiledLoop) {
     }
 }
 
-/// Convenience: the scalar type never matters to callers, but keep the
-/// import used for doc examples.
-#[doc(hidden)]
-pub fn _ty() -> ScalarType {
-    ScalarType::F64
-}
-
 /// Compare two executions that claim identical semantics: every array
 /// element and every live-out must be [`Scalar::identical`] (bit-exact,
 /// NaN-aware) — no reassociation tolerance between two implementations of
@@ -505,52 +466,17 @@ fn check_identical_runs(label: &str, fast: &RunResult, reference: &RunResult) ->
     Ok(())
 }
 
-fn check_identical_liveouts(
-    label: &str,
-    fast: &[LiveOutValue],
-    reference: &[LiveOutValue],
-) -> Result<(), String> {
-    if fast.len() != reference.len() {
-        return Err(format!(
-            "{label}: {} live-outs vs reference {}",
-            fast.len(),
-            reference.len()
-        ));
-    }
-    for (a, b) in fast.iter().zip(reference) {
-        if a.name != b.name || a.combine != b.combine || !a.value.identical(b.value) {
-            return Err(format!("{label}: live-out fast {a:?} vs reference {b:?}"));
-        }
-    }
-    Ok(())
-}
-
-fn check_identical_memories(label: &str, fast: &Memory, reference: &Memory) -> Result<(), String> {
-    for i in 0..fast.array_count() as u32 {
-        for (e, (va, vb)) in fast.array(i).iter().zip(reference.array(i)).enumerate() {
-            if !va.identical(*vb) {
-                return Err(format!(
-                    "{label}: array {i}[{e}] fast {va:?} vs reference {vb:?}"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Differential self-check of the pre-decoded fast engine against the
-/// retained [`crate::reference`] interpreters, over every execution mode a
+/// retained [`crate::reference`] interpreter, over both in-order runs a
 /// compiled plan exercises:
 ///
 /// 1. whole-run source execution ([`run_source`] both engines),
-/// 2. whole-plan compiled execution ([`run_compiled`] both engines),
-/// 3. per-segment pipelined execution of each modulo schedule,
-/// 4. per-segment flat prologue/kernel/epilogue execution (when the
-///    segment's trip covers a full pipeline).
+/// 2. whole-plan compiled execution ([`run_compiled`] both engines).
 ///
 /// Comparison is bit-exact ([`Scalar::identical`]) — the two engines
 /// implement the same semantics, so even last-bit float drift is a bug.
-/// Used by the fuzzer's `--oracle-selfcheck` mode.
+/// Used by the fuzzer's `--oracle-selfcheck` mode. The scheduled code
+/// itself is held to the reference engine by [`executed_selfcheck`].
 ///
 /// # Errors
 ///
@@ -561,31 +487,7 @@ pub fn oracle_selfcheck(src: &Loop, compiled: &CompiledLoop) -> Result<(), Strin
         "run_compiled",
         &run_compiled(compiled),
         &crate::reference::run_compiled(compiled),
-    )?;
-    for (si, seg) in compiled.segments.iter().enumerate() {
-        let n = seg.looop.executed_iterations();
-        let mut mem_fast = Memory::for_arrays(&seg.looop.arrays);
-        let mut mem_ref = mem_fast.clone();
-        let outs_fast =
-            crate::execute_pipelined(&seg.looop, &seg.schedule, &mut mem_fast, n);
-        let outs_ref =
-            crate::reference::execute_pipelined(&seg.looop, &seg.schedule, &mut mem_ref, n);
-        let label = format!("segment {si} pipelined");
-        check_identical_liveouts(&label, &outs_fast, &outs_ref)?;
-        check_identical_memories(&label, &mem_fast, &mem_ref)?;
-        if n >= u64::from(seg.schedule.stage_count) {
-            let flat = sv_modsched::emit_flat(&seg.looop, &seg.schedule);
-            let mut mem_fast = Memory::for_arrays(&seg.looop.arrays);
-            let mut mem_ref = mem_fast.clone();
-            let outs_fast = crate::execute_flat(&seg.looop, &flat, &mut mem_fast, n);
-            let outs_ref =
-                crate::reference::execute_flat(&seg.looop, &flat, &mut mem_ref, n);
-            let label = format!("segment {si} flat");
-            check_identical_liveouts(&label, &outs_fast, &outs_ref)?;
-            check_identical_memories(&label, &mem_fast, &mem_ref)?;
-        }
-    }
-    Ok(())
+    )
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The cycle-accurate VLIW executor: run the *scheduled code*, not just
 //! the loop semantics.
 //!
-//! Every other executor in this crate answers "does the transformed loop
+//! The in-order engines of this crate answer "does the transformed loop
 //! compute the right values?". This one answers the question the paper's
 //! tables hinge on: **does the scheduled code actually sustain the
 //! initiation interval the scheduler claims?** It consumes the flat
@@ -29,9 +29,11 @@
 //!   exactly as the scheduler reserved it;
 //! * **modulo variable expansion** — loop-carried values are renamed per
 //!   iteration in ring buffers whose depths are measured from the actual
-//!   launch order (the same prescan the flat functional executor uses),
-//!   so the three sections' different `iteration_offset` encodings all
-//!   resolve to the right register copy.
+//!   launch order, so the three sections' different `iteration_offset`
+//!   encodings all resolve to the right register copy, and every read
+//!   checks that its copy holds exactly the iteration it names;
+//!   `iteration_private` arrays are renamed the same way
+//!   (`crate::privrot`).
 //!
 //! The measured steady state is reported per section:
 //! [`ExecReport::kernel_cycles`] over [`ExecReport::kernel_executions`]
@@ -97,7 +99,10 @@ impl ExecReport {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
     /// An instance reads a value that no earlier row produces — the
-    /// layout launches instances out of dependence order.
+    /// layout launches instances out of dependence order, or never
+    /// launches the named instance at all (its register copy holds some
+    /// other iteration's value). A live-out whose final instance never
+    /// issued is reported the same way, at the end of the run.
     ReadBeforeWrite {
         /// Loop name.
         looop: String,
@@ -231,8 +236,9 @@ fn build_plan(flat: &FlatListing, n: u64) -> Vec<PlanRow> {
 ///
 /// # Panics
 ///
-/// Panics when `flat` does not fit `l` or the trip count (same contracts
-/// as [`crate::execute_flat`]).
+/// Panics when `flat` does not fit `l` or the trip count: a general
+/// layout needs at least `stage_count` iterations, and a truncated one
+/// ([`sv_modsched::emit_flat_for`]) exactly the trip it was emitted for.
 pub fn execute_schedule(
     l: &sv_ir::Loop,
     m: &MachineConfig,
@@ -253,9 +259,11 @@ pub fn execute_schedule(
     let pool = m.resource_pool();
     let n_classes = ResourceClass::ALL.len();
 
-    // Ring depths measured from the actual launch order — the same
-    // prescan as `decoded::run_sequence`, so carried state is renamed
-    // (modulo variable expansion) exactly deep enough for this layout.
+    // Ring depths measured from the actual launch order, so carried
+    // state is renamed (modulo variable expansion) exactly deep enough
+    // for this layout: a read of iteration `need` after the producer's
+    // iteration `latest > need` was written needs `latest − need + 1`
+    // copies.
     let mut depth = vec![1u64; nops];
     {
         let mut latest = vec![i64::MIN; nops];
@@ -325,7 +333,9 @@ pub fn execute_schedule(
     // Register-pressure probe: the [`sv_ir::RegClass::ALL`] index of each
     // defining op's result, the lifetime of the instance each ring slot
     // currently holds, and the committed lifetime intervals swept at the
-    // end for the observed per-class maxima.
+    // end for the observed per-class maxima. `slot_iter` — the iteration
+    // each slot holds — is also what every operand read is checked
+    // against.
     let reg_slot: Vec<usize> = l
         .ops
         .iter()
@@ -357,7 +367,6 @@ pub fn execute_schedule(
         delta[end][c] -= 1;
     };
     let mut scratch = vec![Scalar::I(0); d.max_lanes];
-    let mut produced_up_to = vec![i64::MIN; nops];
     // One unit-busy horizon per pool instance (non-pipelined reservations
     // hold their unit for `latency` cycles).
     let mut busy_until = vec![0u64; pool.len()];
@@ -400,9 +409,12 @@ pub fn execute_schedule(
                             latency: lat[p] as u32,
                         });
                     }
-                    if produced_up_to[p] < need as i64 {
-                        // Rows issue in order: a producer not yet issued
-                        // and not in this row can only be in a later row.
+                    let at = ready_bases[p] + (need % depth[p]) as usize;
+                    if slot_iter[at] != need as i64 {
+                        // The slot must hold exactly the named instance:
+                        // rows issue in order, so an instance not yet
+                        // issued (or never issued) and not in this row
+                        // can only be in a later row, or missing.
                         return Err(ExecError::ReadBeforeWrite {
                             looop: l.name.clone(),
                             op: oi,
@@ -410,8 +422,6 @@ pub fn execute_schedule(
                             cycle,
                         });
                     }
-                    let rot = (need % depth[p]) as usize;
-                    let at = ready_bases[p] + rot;
                     if ready[at] > cycle {
                         stall_reason = Some(format!(
                             "op{oi} iter {j} waits for op{p} iter {need} (ready at {})",
@@ -513,8 +523,7 @@ pub fn execute_schedule(
              ring: &mut Vec<Scalar>,
              ready: &mut Vec<u64>,
              mem: &mut Memory,
-             scratch: &mut Vec<Scalar>,
-             produced_up_to: &mut Vec<i64>| {
+             scratch: &mut Vec<Scalar>| {
                 let op = &d.ops[oi];
                 let abs = (iters.start + j) as i64;
                 let resolve = |p: usize, dist: u32| -> Option<usize> {
@@ -535,12 +544,11 @@ pub fn execute_schedule(
                         ring[slot..slot + ln].copy_from_slice(&scratch[..ln]);
                     }
                     ready[ready_bases[oi] + rot] = cycle + lat[oi];
-                    produced_up_to[oi] = produced_up_to[oi].max(j as i64);
                 }
             };
         for (ri, &(oi, j)) in row.ops.iter().enumerate() {
             if d.ops[oi].class == DClass::Load {
-                finish(oi, j, &mut ring, &mut ready, mem, &mut scratch, &mut produced_up_to);
+                finish(oi, j, &mut ring, &mut ready, mem, &mut scratch);
                 in_row_done[ri] = true;
             }
         }
@@ -570,15 +578,7 @@ pub fn execute_schedule(
                         }
                     });
                 if deps_met {
-                    finish(
-                        oi,
-                        j,
-                        &mut ring,
-                        &mut ready,
-                        mem,
-                        &mut scratch,
-                        &mut produced_up_to,
-                    );
+                    finish(oi, j, &mut ring, &mut ready, mem, &mut scratch);
                     in_row_done[ri] = true;
                     progressed = true;
                 } else {
@@ -599,7 +599,7 @@ pub fn execute_schedule(
         for (ri, &(oi, j)) in row.ops.iter().enumerate() {
             if !in_row_done[ri] {
                 debug_assert!(matches!(d.ops[oi].class, DClass::Store));
-                finish(oi, j, &mut ring, &mut ready, mem, &mut scratch, &mut produced_up_to);
+                finish(oi, j, &mut ring, &mut ready, mem, &mut scratch);
             }
         }
 
@@ -646,7 +646,8 @@ pub fn execute_schedule(
         cycle += 1;
     }
     report.kernel_executions = flat.kernel_executions(n);
-    // Live-out values survive to the end of the run; commit every
+    // Live-out values survive to the end of the run: the final
+    // iteration's instance must be the one its slot holds. Commit every
     // interval still open and sweep for the observed per-class maxima
     // (deaths sort before tied births: half-open intervals).
     if n > 0 {
@@ -654,9 +655,15 @@ pub fn execute_schedule(
             let p = lo.op.index();
             let need = n - 1;
             let at = ready_bases[p] + (need % depth[p]) as usize;
-            if slot_iter[at] == need as i64 {
-                slot_death[at] = slot_death[at].max(cycle);
+            if slot_iter[at] != need as i64 {
+                return Err(ExecError::ReadBeforeWrite {
+                    looop: l.name.clone(),
+                    op: p,
+                    iteration: need,
+                    cycle,
+                });
             }
+            slot_death[at] = slot_death[at].max(cycle);
         }
     }
     for (i, op) in d.ops.iter().enumerate() {
@@ -684,12 +691,7 @@ pub fn execute_schedule(
         if n == 0 {
             return pop.init;
         }
-        let need = n - 1;
-        assert!(
-            produced_up_to[p] >= need as i64,
-            "live-out read before write: emission bug"
-        );
-        let slot = bases[p] + (need % depth[p]) as usize * pop.lanes as usize;
+        let slot = bases[p] + ((n - 1) % depth[p]) as usize * pop.lanes as usize;
         ring[slot + if pop.lanes == 1 { 0 } else { lane }]
     });
     Ok((outs, report))

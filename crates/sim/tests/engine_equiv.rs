@@ -1,20 +1,16 @@
-//! Differential property tests for the two execution engines.
+//! Differential property tests for the two in-order execution engines.
 //!
-//! The pre-decoded fast engine behind [`sv_sim::execute_loop`],
-//! [`sv_sim::execute_pipelined`] and [`sv_sim::execute_flat`] must be
-//! **bit-identical** to the retained interpreters in [`sv_sim::reference`]
+//! The pre-decoded fast engine behind [`sv_sim::execute_loop`] must be
+//! **bit-identical** to the retained interpreter in [`sv_sim::reference`]
 //! — same final memories and live-outs under [`Scalar::identical`], NaN
 //! payloads and signed zeros included. Two hundred seeded random loops
 //! sweep the generator's distribution profiles; dedicated cases pin the
 //! corners a sweep can miss (zero-trip loops, maximum loop-carried
 //! distance, integer reductions).
 
-use sv_analysis::DepGraph;
 use sv_ir::{Loop, LoopBuilder, Opcode, OpId, OpKind, Operand, ScalarType};
-use sv_machine::MachineConfig;
-use sv_modsched::{emit_flat, modulo_schedule};
 use sv_sim::reference;
-use sv_sim::{execute_flat, execute_loop, execute_pipelined, LiveOutValue, Memory};
+use sv_sim::{execute_loop, LiveOutValue, Memory};
 use sv_workloads::{synth_loop, SynthProfile};
 
 fn assert_outs_identical(l: &Loop, what: &str, fast: &[LiveOutValue], refr: &[LiveOutValue]) {
@@ -46,13 +42,9 @@ fn assert_mem_identical(l: &Loop, what: &str, fast: &Memory, refr: &Memory) {
     }
 }
 
-/// Run one loop through every executor pair. In-order execution always
-/// runs (full range plus an offset subrange); the pipelined and flat
-/// executors run when the scalar loop modulo-schedules, and flat
-/// additionally needs a trip long enough to fill the pipeline. Returns
-/// which of (pipelined, flat) actually ran so callers can assert
-/// coverage.
-fn check_engines(l: &Loop, m: &MachineConfig) -> (bool, bool) {
+/// Run one loop through both in-order engines: the full range plus an
+/// offset subrange (cleanup loops run subranges).
+fn check_engines(l: &Loop) {
     let n = l.trip.count;
     for range in [0..n, n / 3..n] {
         let mut mf = Memory::for_arrays(&l.arrays);
@@ -63,30 +55,6 @@ fn check_engines(l: &Loop, m: &MachineConfig) -> (bool, bool) {
         assert_outs_identical(l, &what, &of, &or);
         assert_mem_identical(l, &what, &mf, &mr);
     }
-
-    let g = DepGraph::build(l);
-    let Ok(s) = modulo_schedule(l, &g, m) else {
-        return (false, false);
-    };
-    let mut mf = Memory::for_arrays(&l.arrays);
-    let mut mr = mf.clone();
-    let of = execute_pipelined(l, &s, &mut mf, n);
-    let or = reference::execute_pipelined(l, &s, &mut mr, n);
-    assert_outs_identical(l, "pipelined", &of, &or);
-    assert_mem_identical(l, "pipelined", &mf, &mr);
-
-    let mut ran_flat = false;
-    if n >= u64::from(s.stage_count) {
-        let flat = emit_flat(l, &s);
-        let mut mf = Memory::for_arrays(&l.arrays);
-        let mut mr = mf.clone();
-        let of = execute_flat(l, &flat, &mut mf, n);
-        let or = reference::execute_flat(l, &flat, &mut mr, n);
-        assert_outs_identical(l, "flat", &of, &or);
-        assert_mem_identical(l, "flat", &mf, &mr);
-        ran_flat = true;
-    }
-    (true, ran_flat)
 }
 
 /// The generator profiles the sweep cycles through — the same shapes the
@@ -109,32 +77,22 @@ fn profile_for(seed: u64) -> SynthProfile {
 
 #[test]
 fn two_hundred_random_loops_match_reference() {
-    let machines = [MachineConfig::paper_default(), MachineConfig::figure1()];
-    let (mut pipelined, mut flat) = (0u32, 0u32);
     for seed in 0..200u64 {
         let mut l = synth_loop(&format!("equiv{seed}"), &profile_for(seed), seed);
         l.invocations = 1;
-        let (p, f) = check_engines(&l, &machines[(seed % 2) as usize]);
-        pipelined += u32::from(p);
-        flat += u32::from(f);
+        check_engines(&l);
     }
-    // The sweep must actually exercise the sequence executors, not just
-    // the in-order path.
-    assert!(pipelined >= 150, "only {pipelined}/200 loops scheduled");
-    assert!(flat >= 100, "only {flat}/200 loops ran the flat layout");
 }
 
 #[test]
 fn zero_trip_loops_match_reference() {
-    let m = MachineConfig::paper_default();
     for seed in 0..20u64 {
         let mut l = synth_loop(&format!("zt{seed}"), &profile_for(seed), seed);
         l.invocations = 1;
         l.trip.count = 0;
-        // In-order over an empty range and a pipeline launching zero
-        // instances must both fall back to carried-init live-outs.
-        let (_, ran_flat) = check_engines(&l, &m);
-        assert!(!ran_flat, "flat layout requires a full pipeline");
+        // In-order over an empty range must fall back to carried-init
+        // live-outs in both engines.
+        check_engines(&l);
     }
 }
 
@@ -143,7 +101,6 @@ fn max_carried_distance_matches_reference() {
     // A distance-7 self-recurrence plus a distance-7 cross-op use: reads
     // straddle the full ring window, and the first 7 iterations observe
     // carried-init values.
-    let m = MachineConfig::paper_default();
     for trip in [1u64, 6, 7, 8, 40] {
         let mut b = LoopBuilder::new(format!("dist7x{trip}"));
         b.trip(trip);
@@ -168,21 +125,18 @@ fn max_carried_distance_matches_reference() {
         b.store(y, 1, 0, rec);
         b.live_out("rec", rec);
         let l = b.finish();
-        check_engines(&l, &m);
+        check_engines(&l);
     }
 }
 
 #[test]
 fn integer_reductions_match_reference() {
-    let m = MachineConfig::paper_default();
     for kind in [OpKind::Add, OpKind::Mul, OpKind::Min, OpKind::Max] {
         let mut b = LoopBuilder::new(format!("ired-{kind:?}"));
         b.trip(37);
         let x = b.array("x", ScalarType::I64, 64);
         let lx = b.load(x, 1, 0);
         b.reduce(kind, ScalarType::I64, lx);
-        let l = b.finish();
-        let (p, _) = check_engines(&l, &m);
-        assert!(p, "integer reduction failed to schedule");
+        check_engines(&b.finish());
     }
 }

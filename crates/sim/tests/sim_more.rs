@@ -3,9 +3,7 @@
 use sv_core::{compile, Strategy};
 use sv_ir::{LoopBuilder, OpKind, Operand, ScalarType};
 use sv_machine::MachineConfig;
-use sv_sim::{
-    execute_loop, play_schedule, run_compiled, run_source, Memory, Scalar,
-};
+use sv_sim::{execute_loop, execute_schedule, run_compiled, run_source, Memory, Scalar};
 
 #[test]
 fn run_source_reports_live_outs_by_name() {
@@ -89,11 +87,14 @@ fn integer_loops_execute_exactly() {
 }
 
 #[test]
-fn playback_peak_inflight_grows_with_stage_count() {
-    // Long-latency chain ⇒ many stages ⇒ many iterations in flight.
+fn deep_pipeline_runs_in_exactly_the_modelled_cycles() {
+    // Long-latency chain ⇒ many stages ⇒ many iterations in flight. The
+    // executed layout takes exactly (n − 1)·II + length cycles, with no
+    // stalls, and the kernel runs n − SC + 1 times.
     let mut b = LoopBuilder::new("deep");
-    let x = b.array("x", ScalarType::F64, 64);
-    let y = b.array("y", ScalarType::F64, 64);
+    b.trip(500);
+    let x = b.array("x", ScalarType::F64, 512);
+    let y = b.array("y", ScalarType::F64, 512);
     let lx = b.load(x, 1, 0);
     let d = b.fdiv(lx, lx);
     let e = b.fmul(d, d);
@@ -102,10 +103,14 @@ fn playback_peak_inflight_grows_with_stage_count() {
     let m = MachineConfig::paper_default();
     let g = sv_analysis::DepGraph::build(&l);
     let s = sv_modsched::modulo_schedule(&l, &g, &m).unwrap();
-    let r = play_schedule(&l, &m, &s, 500).unwrap();
-    assert!(r.peak_inflight >= 1);
-    assert!(r.peak_inflight <= s.stage_count);
+    assert!(s.stage_count > 1, "the divide's latency spans stages");
+    let flat = sv_modsched::emit_flat_for(&l, &s, 500);
+    let mut mem = Memory::for_arrays(&l.arrays);
+    let (_, r) = execute_schedule(&l, &m, &flat, &mut mem, 0..500).unwrap();
     assert_eq!(r.total_cycles, 499 * u64::from(s.ii) + u64::from(s.length));
+    assert_eq!(r.stall_cycles, 0);
+    assert_eq!(r.kernel_executions, 500 - u64::from(s.stage_count) + 1);
+    assert!(r.steady_state_ok(s.ii));
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! The paper's Figure 1, end to end: the dot product on the 3-issue toy
 //! machine, showing the transformed loop and the kernel schedule each
-//! technique produces.
+//! technique produces, and the cycles and II the scheduled code measures
+//! when executed.
 //!
 //! ```text
 //! cargo run --example dot_product
@@ -9,7 +10,8 @@
 use selvec::analysis::DepGraph;
 use selvec::core::{compile, Strategy};
 use selvec::machine::MachineConfig;
-use selvec::sim::{play_schedule, validate_schedule};
+use selvec::modsched::{emit_flat_for, validate_schedule};
+use selvec::sim::{execute_schedule, Memory};
 use selvec::workloads::figure1_dot_product;
 
 fn main() {
@@ -42,14 +44,24 @@ fn main() {
                     .collect();
                 println!("  row {row}: {}", ops.join("  "));
             }
-            // Re-validate and play the pipeline for 1000 iterations.
+            // Re-validate, then execute the laid-out pipeline cycle by cycle.
             let g = DepGraph::build(&seg.looop);
             validate_schedule(&seg.looop, &g, &machine, s).expect("valid schedule");
             let n = seg.looop.executed_iterations();
-            let report = play_schedule(&seg.looop, &machine, s, n).expect("playable schedule");
+            let flat = emit_flat_for(&seg.looop, s, n);
+            let mut mem = Memory::for_arrays(&seg.looop.arrays);
+            let (_, report) = execute_schedule(&seg.looop, &machine, &flat, &mut mem, 0..n)
+                .expect("the scheduled code executes");
+            assert!(
+                report.steady_state_ok(s.ii),
+                "measured II differs from scheduled"
+            );
+            let analytic = (n + u64::from(s.stage_count) - 1) * u64::from(s.ii);
             println!(
-                "  {n} iterations: {} cycles exact, {} analytic, {} in flight at peak",
-                report.total_cycles, report.analytic_cycles, report.peak_inflight
+                "  {n} iterations: {} cycles measured ({analytic} analytic), measured II {}, {} stalls",
+                report.total_cycles,
+                report.measured_ii().map_or_else(|| "-".into(), |ii| format!("{ii:.2}")),
+                report.stall_cycles
             );
         }
         println!();

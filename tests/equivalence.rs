@@ -1,15 +1,16 @@
 //! Integration test: every workload loop, compiled under every technique
 //! on both machines, computes the same memory state and live-outs as the
-//! scalar source loop, and every produced schedule validates.
+//! scalar source loop, every produced schedule validates, and the
+//! scheduled code itself executes correctly at its II.
 
 use selvec::analysis::DepGraph;
 use selvec::core::parallel::{default_jobs, run_ordered};
 use selvec::core::{compile, Strategy};
 use selvec::machine::MachineConfig;
-use selvec::modsched::emit_flat;
+use selvec::modsched::{emit_flat, validate_schedule};
 use selvec::sim::{
-    assert_equivalent, execute_flat, execute_loop, execute_pipelined,
-    has_register_state_across_cleanup, validate_schedule, Memory,
+    assert_equivalent, execute_schedule, executed_selfcheck, has_register_state_across_cleanup,
+    reference, Memory,
 };
 use selvec::workloads::all_benchmarks;
 
@@ -87,11 +88,14 @@ fn all_workload_schedules_validate() {
     });
 }
 
-/// Execute every selective-compiled segment *as a pipeline* (each op
-/// instance at its issue cycle, registers renamed per iteration, memory
-/// touched in pipeline order) and require the same result as in-order
-/// execution. This catches scheduler reorderings that structural
-/// validation alone would miss.
+/// Execute every compiled piece *as scheduled*: the emitted
+/// prologue/kernel/epilogue layout runs on the cycle-accurate executor
+/// (each op instance at its issue cycle, registers and private arrays
+/// renamed per iteration, memory touched in pipeline order) and must
+/// leave a state bit-identical to in-order execution of the same plan,
+/// with no stalls and the scheduled II measured. This catches scheduler
+/// reorderings and layout bugs that structural validation alone would
+/// miss.
 #[test]
 fn pipelined_execution_matches_in_order_execution() {
     let machine = MachineConfig::paper_default();
@@ -101,40 +105,18 @@ fn pipelined_execution_matches_in_order_execution() {
         l.trip.count = l.trip.count.clamp(8, 64);
         for strategy in [Strategy::ModuloOnly, Strategy::Selective] {
             let compiled = compile(&l, &machine, strategy).unwrap();
-            for seg in &compiled.segments {
-                let n = seg.looop.executed_iterations();
-                let mut mem_a = Memory::for_arrays(&seg.looop.arrays);
-                let mut mem_b = mem_a.clone();
-                let outs_a = execute_loop(&seg.looop, &mut mem_a, 0..n);
-                let outs_b =
-                    execute_pipelined(&seg.looop, &seg.schedule, &mut mem_b, n);
-                for i in 0..seg.looop.arrays.len() as u32 {
-                    for (e, (va, vb)) in
-                        mem_a.array(i).iter().zip(mem_b.array(i)).enumerate()
-                    {
-                        assert!(
-                            va.approx_eq(*vb),
-                            "{} under {strategy}: array {i}[{e}]",
-                            seg.looop.name
-                        );
-                    }
-                }
-                for (a, b) in outs_a.iter().zip(&outs_b) {
-                    assert!(
-                        a.value.approx_eq(b.value),
-                        "{} under {strategy}: live-out {}",
-                        seg.looop.name,
-                        a.name
-                    );
-                }
-            }
+            executed_selfcheck(&compiled, &machine)
+                .unwrap_or_else(|e| panic!("{} under {strategy}: {e}", l.name));
         }
     });
 }
 
-/// The emitted flat prologue/kernel/epilogue layout, executed as written,
-/// computes the same result as in-order execution for a sample of
-/// workload loops.
+/// The general (untruncated) emitted prologue/kernel/epilogue layout of
+/// every selective-compiled segment, executed as written on the
+/// cycle-accurate executor at a trip the plan itself never runs
+/// (`SC + 13`), computes a state bit-identical to reference in-order
+/// execution of the segment, with no stalls, for a sample of workload
+/// loops.
 #[test]
 fn flat_layouts_execute_correctly() {
     let machine = MachineConfig::paper_default();
@@ -147,14 +129,31 @@ fn flat_layouts_execute_correctly() {
                 let n = u64::from(flat.stage_count) + 13;
                 let mut mem_a = Memory::for_arrays(&seg.looop.arrays);
                 let mut mem_b = mem_a.clone();
-                execute_loop(&seg.looop, &mut mem_a, 0..n);
-                execute_flat(&seg.looop, &flat, &mut mem_b, n);
+                let outs_a = reference::execute_loop(&seg.looop, &mut mem_a, 0..n);
+                let (outs_b, report) =
+                    execute_schedule(&seg.looop, &machine, &flat, &mut mem_b, 0..n)
+                        .unwrap_or_else(|e| panic!("{}: {e}", seg.looop.name));
+                assert!(
+                    report.steady_state_ok(seg.schedule.ii),
+                    "{}: {report:?} at II {}",
+                    seg.looop.name,
+                    seg.schedule.ii
+                );
                 for i in 0..seg.looop.arrays.len() as u32 {
                     for (e, (va, vb)) in
                         mem_a.array(i).iter().zip(mem_b.array(i)).enumerate()
                     {
-                        assert!(va.approx_eq(*vb), "{}: array {i}[{e}]", seg.looop.name);
+                        assert!(va.identical(*vb), "{}: array {i}[{e}]", seg.looop.name);
                     }
+                }
+                assert_eq!(outs_a.len(), outs_b.len(), "{}", seg.looop.name);
+                for (a, b) in outs_a.iter().zip(&outs_b) {
+                    assert!(
+                        a.value.identical(b.value),
+                        "{}: live-out {}",
+                        seg.looop.name,
+                        a.name
+                    );
                 }
             }
         }
